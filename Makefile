@@ -98,10 +98,11 @@ recovery-smoke:
 		tests/sim/test_faults.py
 	PYTHONPATH=src python -m repro.experiments.runner recovery --quick
 
-# Complexity/length guard for src/repro/transport/ (C901, PLR0915);
-# ruff is not vendored — install it locally to run this target.
+# Complexity/length guard for src/repro/transport/ and the striper pump
+# (C901, PLR0915); ruff is not vendored — install it locally to run this
+# target.
 lint-endpoints:
-	ruff check src/repro/transport/
+	ruff check src/repro/transport/ src/repro/core/striper.py
 
 experiments:
 	python -m repro.experiments --all --json results.json

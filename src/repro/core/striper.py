@@ -19,23 +19,58 @@ The striper also hosts the :class:`MarkerScheduler` (section 5): every
 ``interval`` rounds, at a configurable position within the round, it
 injects one marker per channel carrying that channel's next implicit packet
 number ``(r, d)``.
+
+One pump serves every transport.  SRR is causal (Theorem 3.1): each
+channel choice depends only on packets already sent, so the pump steps
+the kernel through the backlog first and hands the packets over after,
+in *chunks* cut at the first channel without room and at every marker
+point.  Ports with ``send_burst``/``free_capacity`` take a chunk as one
+burst per channel; other ports take one ``send`` per packet.  Policies
+without a kernel keep a per-packet ``choose()`` loop.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, Deque, List, Optional, Protocol, Sequence
+from typing import (
+    Any,
+    Callable,
+    Deque,
+    Dict,
+    List,
+    Optional,
+    Protocol,
+    Sequence,
+    runtime_checkable,
+)
 
 from repro.core.kernel import SRRKernel
 from repro.core.packet import MarkerPacket, Packet
-from repro.core.srr import SRRState
 from repro.core.transform import LoadSharer, TransformedLoadSharer
 from repro.sim.trace import NULL_TRACER, Tracer
 
 
+@runtime_checkable
 class ChannelPort(Protocol):
-    """What the striper needs from a channel's sender side."""
+    """What the striper needs from one striped channel's sender side.
+
+    Required surface::
+
+        send(packet, force=False) -> bool   # enqueue for transmission
+        can_accept() -> bool                # queue space for one more?
+        queue_length -> int                 # packets queued (depth policies)
+
+    Optional surface, detected by attribute presence:
+
+    * ``send_burst(packets)`` + ``free_capacity() -> int`` — the port
+      takes each pump chunk's packets as one burst, admitted against one
+      capacity query per chunk.
+    * ``close()`` — release the underlying transport resource.
+    * ``on_unblocked`` — a slot the sender pipeline fills with its pump so
+      the port can resume a stalled sender (ARP resolution, credit
+      arrival).
+    """
 
     def send(self, packet: Any, force: bool = False) -> bool: ...
 
@@ -139,6 +174,19 @@ class Striper:
         self._initial_markers_pending = (
             self._markers_enabled and marker_policy.initial_markers
         )
+        #: per port: True when it takes bursts (``send_burst`` +
+        #: ``free_capacity``)
+        self._bursty = [
+            hasattr(port, "send_burst") and hasattr(port, "free_capacity")
+            for port in self.ports
+        ]
+        #: per-chunk state: room left on burst ports, packets per burst
+        self._free: Dict[int, int] = {}
+        self._bursts: Dict[int, List[Any]] = {}
+        #: pump calls that handed at least one burst to a port
+        self.batched_pumps = 0
+        #: data packets handed to ports through ``send_burst``
+        self.batched_packets = 0
 
     # ------------------------------------------------------------------ #
     # upper-layer API
@@ -153,8 +201,8 @@ class Striper:
 
         Equivalent to ``submit(p)`` per packet — the pump drains greedily
         either way, so sends, marker points, and backpressure stops are
-        identical — but a batched pump (``FastStriper``) sees the whole
-        burst at once and can assign it through ``assign_many``.
+        identical — but the pump sees the whole burst at once, so burst
+        ports get it in as few bursts as backpressure allows.
         """
         self.input_queue.extend(packets)
         self.pump()
@@ -176,6 +224,13 @@ class Striper:
             )
         return self.ports[channel].can_accept()
 
+    def stats(self) -> Dict[str, int]:
+        """Cheap perf counters for the burst path."""
+        return {
+            "batched_pumps": self.batched_pumps,
+            "batched_packets": self.batched_packets,
+        }
+
     def pump(self) -> int:
         """Send as many queued packets as backpressure allows.
 
@@ -185,77 +240,154 @@ class Striper:
         if self._initial_markers_pending:
             self._initial_markers_pending = False
             self._emit_markers()
-        sent = 0
-        kernel = self._kernel
-        markers = self._markers_enabled
+        if self._kernel is None:
+            return self._pump_choose()
+        sent, batched = self.packets_sent, self.batched_packets
+        while self.input_queue and self._send_chunk():
+            pass
+        if self.batched_packets != batched:
+            self.batched_pumps += 1
+        return self.packets_sent - sent
+
+    def _pump_choose(self) -> int:
+        """The pump for policies without a kernel: ``choose()`` per packet."""
+        queue = self.input_queue
+        ports = self.ports
+        sharer = self.sharer
         trace = self.tracer.enabled
-        while self.input_queue:
-            packet = self.input_queue[0]
-            if kernel is not None:
-                # Causal policy: the kernel's pointer *is* the choice; no
-                # need to materialize queue depths it cannot look at.
-                channel = kernel.ptr
-            else:
-                depths = [p.queue_length for p in self.ports]
-                channel = self.sharer.choose(packet, depths)
-            port = self.ports[channel]
+        sent = 0
+        while queue:
+            packet = queue[0]
+            channel = sharer.choose(packet, [p.queue_length for p in ports])
+            port = ports[channel]
             if not port.can_accept():
                 break  # must wait: causality forbids sending elsewhere
-            self.input_queue.popleft()
-            if markers:
-                old_ptr, old_round = kernel.ptr, kernel.round_number
+            queue.popleft()
             port.send(packet)
-            self.sharer.notify_sent(channel, packet)
+            sharer.notify_sent(channel, packet)
+            size = getattr(packet, "size", 0)
             self.packets_sent += 1
-            self.bytes_sent += getattr(packet, "size", 0)
+            self.bytes_sent += size
             sent += 1
             if trace:
                 self.tracer.emit(
-                    self.clock(), "striper", "send",
-                    channel=channel, size=getattr(packet, "size", 0),
+                    self.clock(), "striper", "send", channel=channel, size=size
                 )
-            if markers:
-                self._check_marker_crossing(old_ptr, old_round)
         return sent
+
+    def _send_chunk(self) -> bool:
+        """Send one chunk of the backlog through the kernel.
+
+        The kernel commits each packet's channel before anything is sent
+        (causality), so the chunk can step it through the backlog and
+        hand packets over afterwards.  The chunk ends when the backlog is
+        empty, when the pointer reaches the next marker point, or at the
+        first channel without room.  A burst port is asked
+        ``free_capacity()`` once, when the pointer first reaches it, and
+        gets its packets as one burst at the end; any other port is asked
+        ``can_accept()`` before each packet and gets it at once.
+
+        Returns False when the chunk stopped at a full channel it sent
+        nothing to, which ends the pump.  (A burst port that ran out of
+        room after taking packets may have room again once its burst is
+        handed over.)
+        """
+        kernel = self._kernel
+        queue = self.input_queue
+        ports = self.ports
+        bursty = self._bursty
+        trace = self.tracer.enabled
+        n = len(ports)
+        free = self._free
+        bursts = self._bursts
+        origin = target = None
+        if self._markers_enabled:
+            # The pointer index (see _pointer_index) at which the next
+            # marker batch falls due: the interval's remaining entries
+            # into the marker position.
+            origin = kernel.round_number * n + kernel.ptr
+            policy = self.marker_policy
+            interval = policy.interval_rounds
+            entries = interval - self._crossings_seen % interval
+            target = origin + (policy.position - origin - 1) % n + 1
+            target += (entries - 1) * n
+        blocked = False
+        sent = nbytes = 0
+        while queue:
+            channel = kernel.ptr
+            port = ports[channel]
+            if bursty[channel]:
+                room = free.get(channel)
+                if room is None:
+                    room = port.free_capacity()
+                if room <= 0:
+                    blocked = channel not in bursts
+                    break  # must wait: causality forbids sending elsewhere
+                free[channel] = room - 1
+                packet = queue.popleft()
+                burst = bursts.get(channel)
+                if burst is None:
+                    bursts[channel] = [packet]
+                else:
+                    burst.append(packet)
+            elif port.can_accept():
+                packet = queue.popleft()
+                port.send(packet)
+            else:
+                blocked = True
+                break
+            size = packet.size
+            kernel.step(size)
+            nbytes += size
+            sent += 1
+            if trace:
+                self.tracer.emit(
+                    self.clock(), "striper", "send", channel=channel, size=size
+                )
+            if target is not None and kernel.round_number * n + kernel.ptr >= target:
+                break  # a marker batch is due after this packet
+        if bursts:
+            for channel, burst in bursts.items():
+                ports[channel].send_burst(burst)
+                self.batched_packets += len(burst)
+            bursts.clear()
+        if free:
+            free.clear()
+        self.packets_sent += sent
+        self.bytes_sent += nbytes
+        if target is not None and sent:
+            end = kernel.round_number * n + kernel.ptr
+            for _ in range(self._markers_due(origin, end)):
+                self._emit_markers()
+        return not blocked
 
     # ------------------------------------------------------------------ #
     # marker machinery
 
-    def _srr_state(self) -> Optional[SRRState]:
-        if self._kernel is None:
-            return None
-        return self._kernel.snapshot()
-
-    def _check_marker_crossing(self, old_ptr: int, old_round: int) -> None:
-        """Emit markers if the pointer advanced into the policy position.
-
-        A single step can hop several channels (deep overdraw skipping), so
-        we walk the pointer path from ``(old_ptr, old_round)`` to the
-        kernel's live position and count every entry into ``position``.
-        """
+    def _pointer_index(self) -> int:
+        """The kernel pointer as one number: ``round * n + ptr``."""
         kernel = self._kernel
-        policy = self.marker_policy
-        assert kernel is not None and policy is not None
-        new_ptr, new_round = kernel.ptr, kernel.round_number
-        if old_ptr == new_ptr and old_round == new_round:
-            return
-        n = kernel.n_channels
-        position = policy.position % n
-        crossings = 0
-        ptr, rnd = old_ptr, old_round
-        while (ptr, rnd) != (new_ptr, new_round):
-            ptr += 1
-            if ptr == n:
-                ptr = 0
-                rnd += 1
-            if ptr == position:
-                crossings += 1
-            if rnd > new_round:  # safety: should never happen
-                break
-        for _ in range(crossings):
-            self._crossings_seen += 1
-            if self._crossings_seen % policy.interval_rounds == 0:
-                self._emit_markers()
+        return kernel.round_number * len(self.ports) + kernel.ptr
+
+    def _markers_due(self, start: int, end: int) -> int:
+        """Marker batches due on the pointer path from ``start`` to ``end``.
+
+        Both are :meth:`_pointer_index` values.  The path enters the
+        marker position once per round; a single step can hop several
+        channels (deep overdraw skipping), so entries are counted over the
+        whole path, and every ``interval_rounds``-th entry is due a batch.
+        """
+        if start == end:
+            return 0
+        n = len(self.ports)
+        position = self.marker_policy.position % n
+        crossings = (end - position) // n - (start - position) // n
+        if not crossings:
+            return 0
+        seen = self._crossings_seen
+        self._crossings_seen = seen + crossings
+        interval = self.marker_policy.interval_rounds
+        return (seen + crossings) // interval - seen // interval
 
     def _emit_markers(self) -> None:
         """Send one marker per channel with its next implicit number."""

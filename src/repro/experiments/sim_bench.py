@@ -35,7 +35,7 @@ RELIABILITY_MODES = ("best_effort", "quasi_fifo", "reliable")
 #: (64-packet window, ack-every-2) are tuned for WAN politeness, not for
 #: a 4x10 Mb/s bundle with 40-frame queues: the window is far below the
 #: bundle's bandwidth-delay product, so the sender degenerates to 1-2
-#: packet ack-clocked bursts and the batched pump never engages.  A
+#: packet ack-clocked bursts and the pump never sends a real burst.  A
 #: BDP-sized window plus a coarser ack cadence is the configuration a
 #: throughput deployment would run.
 RELIABLE_BENCH_OPTIONS = {

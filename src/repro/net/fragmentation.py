@@ -152,7 +152,7 @@ class FragmentingStriper(Striper):
             remaining -= chunk
             self._current[1] = remaining
             if markers:
-                old_ptr, old_round = kernel.ptr, kernel.round_number
+                before = self._pointer_index()
             port.send(fragment)
             self.sharer.notify_sent(channel, fragment)
             self.fragments_sent += 1
@@ -165,7 +165,8 @@ class FragmentingStriper(Striper):
                 self.bytes_sent += packet.size
                 self._current = None
             if markers:
-                self._check_marker_crossing(old_ptr, old_round)
+                for _ in range(self._markers_due(before, self._pointer_index())):
+                    self._emit_markers()
         return sent
 
 

@@ -8,11 +8,12 @@ drop rule, logical reception through a resequencer, and (sometimes) a
 dead-channel watchdog.  This module is the single copy.
 
 * :class:`ChannelPort` — the protocol a transport must implement per
-  striped channel: ``send`` / ``can_accept`` / ``queue_length``, plus
-  optional ``send_burst`` + ``free_capacity`` (enables the batched fast
-  pump), ``close``, and an ``on_unblocked`` callback slot.
-* :class:`StripeSenderPipeline` — kernel-driven stripe pump over any port
-  list: the batched :class:`FastStriper` when the ports support bursts,
+  striped channel (defined in :mod:`repro.core.striper`, re-exported
+  here): ``send`` / ``can_accept`` / ``queue_length``, plus optional
+  ``send_burst`` + ``free_capacity`` (the striper's pump then hands the
+  port whole bursts), ``close``, and an ``on_unblocked`` callback slot.
+* :class:`StripeSenderPipeline` — the stripe pump over any port list
+  (the one :class:`~repro.core.striper.Striper` pump, bursts or not),
   FCVC credit integration, and packet-wrapping disciplines (MPPP headers,
   BONDING frames).
 * :class:`StripeReceiverPipeline` — per-channel buffering with the
@@ -39,21 +40,11 @@ the in-memory list ports the offline tests use.
 
 from __future__ import annotations
 
-from itertools import islice
-from typing import (
-    Any,
-    Callable,
-    Dict,
-    List,
-    Optional,
-    Protocol,
-    Sequence,
-    runtime_checkable,
-)
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.core.cfq import CausalFQ
 from repro.core.packet import Packet, is_marker
-from repro.core.striper import MarkerPolicy, Striper
+from repro.core.striper import ChannelPort, MarkerPolicy, Striper
 from repro.sim.trace import NULL_TRACER, Tracer
 from repro.transport.discipline import (
     DISCIPLINES,
@@ -108,181 +99,16 @@ __all__ = [
 #: A value safely larger than any queue limit, used for unbounded queues.
 _UNBOUNDED = 1 << 30
 
-#: Input backlogs below this run the per-packet pump: snapshotting and
-#: scanning the batch machinery costs more than it saves for a couple of
-#: packets (the common case for per-submit pumps of a closed-loop source).
-_BATCH_MIN = 4
-
 _MISSING = object()
-
-
-@runtime_checkable
-class ChannelPort(Protocol):
-    """What the endpoint layer needs from one striped channel.
-
-    Required surface::
-
-        send(packet, force=False) -> bool   # enqueue for transmission
-        can_accept() -> bool                # queue space for one more?
-        queue_length -> int                 # packets queued (depth policies)
-
-    Optional surface, detected by attribute presence:
-
-    * ``send_burst(packets)`` + ``free_capacity() -> int`` — enables the
-      batched fast pump (:class:`FastStriper`).
-    * ``close()`` — release the underlying transport resource.
-    * ``on_unblocked`` — a slot the pipeline fills with its pump so the
-      port can resume a stalled sender (ARP resolution, credit arrival).
-    """
-
-    def send(self, packet: Any, force: bool = False) -> bool: ...
-
-    def can_accept(self) -> bool: ...
-
-    @property
-    def queue_length(self) -> int: ...
 
 
 # --------------------------------------------------------------------- #
 # sender side
 
 
-class FastStriper(Striper):
-    """A :class:`~repro.core.striper.Striper` with a batched pump.
-
-    Semantically identical to the base per-packet pump for SRR-family
-    policies — same channel assignments (the kernel is causal), same
-    per-channel packet order, same marker emission points — but the kernel
-    is advanced with one ``assign_many`` per chunk and each channel
-    receives its packets as one burst.  Requires ports with
-    ``send_burst``/``free_capacity``.  Non-SRR policies, enabled tracers,
-    and unreconstructable pointer trajectories fall back to the exact base
-    pump.
-    """
-
-    def __init__(self, *args: Any, **kwargs: Any) -> None:
-        super().__init__(*args, **kwargs)
-        self._min_quantum: Optional[float] = None
-        if self._kernel is not None:
-            self._min_quantum = min(self._kernel.quanta)
-        #: pump calls that engaged the batch machinery
-        self.batched_pumps = 0
-        #: data packets sent through batched chunks
-        self.batched_packets = 0
-        #: pump calls (or mid-pump bailouts) routed to the per-packet pump
-        self.fallback_pumps = 0
-
-    def stats(self) -> Dict[str, int]:
-        """Cheap perf counters for the batched pump."""
-        return {
-            "batched_pumps": self.batched_pumps,
-            "batched_packets": self.batched_packets,
-            "fallback_pumps": self.fallback_pumps,
-        }
-
-    def pump(self) -> int:
-        kernel = self._kernel
-        if kernel is None or self.tracer.enabled:
-            self.fallback_pumps += 1
-            return super().pump()
-        if self._initial_markers_pending:
-            self._initial_markers_pending = False
-            self._emit_markers()
-        queue = self.input_queue
-        if not queue:
-            return 0
-        if len(queue) < _BATCH_MIN:
-            self.fallback_pumps += 1
-            return super().pump()
-        ports = self.ports
-        n = kernel.n_channels
-        markers = self._markers_enabled
-        position = interval = 0
-        if markers:
-            policy = self.marker_policy
-            position = policy.position % n
-            interval = policy.interval_rounds
-        sent_total = 0
-        while queue:
-            free = [port.free_capacity() for port in ports]
-            if free[kernel.ptr] <= 0:
-                break  # head-of-line: causality forbids sending elsewhere
-            budget = 0
-            for f in free:
-                budget += f
-            backlog = len(queue)
-            chunk = budget if budget < backlog else backlog
-            sizes = [p.size for p in islice(queue, chunk)]
-            snapshot = kernel.snapshot()
-            chans = kernel.assign_many(sizes)
-            end_ptr = kernel.ptr
-            # Longest admissible prefix under per-channel free slots.  The
-            # first packet is always admissible (free[chans[0]] > 0 was
-            # just checked), so q >= 1 and the loop makes progress.
-            q = chunk
-            for i in range(chunk):
-                c = chans[i]
-                f = free[c]
-                if f <= 0:
-                    q = i
-                    break
-                free[c] = f - 1
-            emit = False
-            if markers:
-                # Walk the pointer trajectory packet by packet: chans[i+1]
-                # (or the post-chunk pointer) is the live pointer after
-                # packet i.  Each single-channel advance is one potential
-                # marker-position crossing; a multi-channel hop (deep
-                # overdraw) cannot be reconstructed from the channel
-                # vector alone, so it falls back to the per-packet pump.
-                crossings = self._crossings_seen
-                ptr = chans[0]
-                stop = q
-                for i in range(q):
-                    nxt = chans[i + 1] if i + 1 < chunk else end_ptr
-                    if nxt == ptr:
-                        continue
-                    step = nxt - ptr
-                    if step != 1 and step != 1 - n:
-                        kernel.restore(snapshot)
-                        self.fallback_pumps += 1
-                        return sent_total + super().pump()
-                    ptr = nxt
-                    if nxt == position:
-                        crossings += 1
-                        if crossings % interval == 0:
-                            # Cut after the crossing packet so the marker
-                            # batch lands exactly where the per-packet
-                            # pump would put it.
-                            stop = i + 1
-                            emit = True
-                            break
-                self._crossings_seen = crossings
-                q = stop
-            if q < chunk:
-                kernel.restore(snapshot)
-                kernel.assign_many(sizes[:q])
-            bursts: Dict[int, List[Any]] = {}
-            bytes_sent = 0
-            for i in range(q):
-                packet = queue.popleft()
-                bytes_sent += sizes[i]
-                c = chans[i]
-                burst = bursts.get(c)
-                if burst is None:
-                    bursts[c] = [packet]
-                else:
-                    burst.append(packet)
-            for c, burst in bursts.items():
-                ports[c].send_burst(burst)
-            self.packets_sent += q
-            self.bytes_sent += bytes_sent
-            sent_total += q
-            self.batched_packets += q
-            if emit:
-                self._emit_markers()
-        self.batched_pumps += 1
-        return sent_total
+#: The striper's one pump serves every port kind; the name survives for
+#: code written against the former burst-only pump class.
+FastStriper = Striper
 
 
 class _RecordingPort:
@@ -405,9 +231,6 @@ class StripeSenderPipeline:
         marker_keepalive_s: if set, force a marker batch whenever no marker
             was emitted for this long (stalled/idle senders must keep the
             receiver — and piggybacked credits — refreshed).
-        fast: force the batched (True) or per-packet (False) pump; by
-            default the batched pump is used when every port supports
-            ``send_burst``/``free_capacity``.
         reliability: service level — ``"best_effort"`` / ``"quasi_fifo"``
             (the default; both leave the submit path untouched),
             ``"reliable"``, which sequences every submitted packet
@@ -446,7 +269,6 @@ class StripeSenderPipeline:
         credit: Any = None,
         sim: Any = None,
         marker_keepalive_s: Optional[float] = None,
-        fast: Optional[bool] = None,
         tracer: Tracer = NULL_TRACER,
         clock: Optional[Callable[[], float]] = None,
         reliability: str = "quasi_fifo",
@@ -522,15 +344,9 @@ class StripeSenderPipeline:
                 ),
                 **fec_options,
             )
-        if fast is None:
-            fast = all(
-                hasattr(port, "send_burst") and hasattr(port, "free_capacity")
-                for port in self.ports
-            )
         if clock is None and sim is not None:
             clock = lambda: sim.now  # noqa: E731
-        striper_cls = FastStriper if fast else Striper
-        self.striper = striper_cls(
+        self.striper = Striper(
             sharer,
             self.ports,
             self.sync.marker_policy,

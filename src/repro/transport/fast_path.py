@@ -1,4 +1,4 @@
-"""Fast-path transport striping: batched pump over direct channel ports.
+"""Fast-path transport striping: burst sends over direct channel ports.
 
 The slow (reference) path of :mod:`repro.transport.socket_striping` walks
 every packet through the full UDP/IP/Ethernet stack — socket ``sendto``,
@@ -11,17 +11,14 @@ delay.  The fast path therefore strips it away:
   directly and accounts for the framing the stack would have added via the
   channel's ``size_of`` hook (:func:`wire_size`), so wire timing is
   bit-identical to the reference path.
-* :class:`~repro.transport.endpoint.FastStriper` (re-exported here)
-  replaces the per-packet choose/send/notify loop with a batched pump:
-  snapshot the SRR kernel, assign a whole chunk of the input queue with
-  :meth:`~repro.core.kernel.SRRKernel.assign_many`, cut the chunk at the
-  first head-of-line block or marker emission point, and hand each channel
-  its packets as one burst (:meth:`~repro.sim.channel.Channel.send_burst`).
+* :class:`FastChannelPort` also has ``send_burst``/``free_capacity``, so
+  the striper's pump (:meth:`~repro.core.striper.Striper.pump`, the same
+  pump every transport uses) hands each channel a chunk's packets as one
+  burst (:meth:`~repro.sim.channel.Channel.send_burst`).
 * :class:`FastStripedSender` / :class:`FastStripedReceiver` are thin
   adapters over the shared endpoint pipelines
   (:class:`~repro.transport.endpoint.StripeSenderPipeline` /
-  :class:`~repro.transport.endpoint.StripeReceiverPipeline`): the port
-  capabilities select the batched pump automatically, and the surface
+  :class:`~repro.transport.endpoint.StripeReceiverPipeline`) whose surface
   (ports with ``sent_data``/``sent_markers``, ``submit_packet``,
   ``backlog``, per-channel arrival handlers) matches the striped-socket
   stack, so the experiment harness can swap them in behind a ``fast=True``
@@ -31,11 +28,7 @@ Determinism contract: for any configuration the harness builds, the fast
 path produces the *identical delivery sequence* as the reference path, and
 for loss-free runs the identical ``(time, seq)`` delivery records — the
 property tests in ``tests/properties/test_fast_path_equivalence.py`` check
-both.  The batched pump reconstructs marker-position crossings from the
-``assign_many`` channel vector; if the pointer trajectory cannot be
-reconstructed exactly (a deep-overdraw multi-channel hop, only possible
-when a packet exceeds the smallest quantum), it falls back to the exact
-per-packet pump for that chunk.
+both.
 """
 
 from __future__ import annotations
@@ -51,7 +44,6 @@ from repro.sim.channel import Channel
 from repro.sim.engine import Simulator
 from repro.transport.endpoint import (
     _UNBOUNDED,
-    FastStriper,
     StripeReceiverPipeline,
     StripeSenderPipeline,
 )
@@ -63,7 +55,6 @@ __all__ = [
     "FastChannelPort",
     "FastStripedReceiver",
     "FastStripedSender",
-    "FastStriper",
     "wire_fast_ack_path",
     "wire_size",
 ]
@@ -175,10 +166,8 @@ class FastStripedSender(StripeSenderPipeline):
     """Drop-in fast replacement for ``StripedSocketSender``.
 
     Same submission surface and per-port counters, but packets go straight
-    to the channels through :class:`FastChannelPort`, whose burst support
-    makes the shared pipeline pick the batched
-    :class:`~repro.transport.endpoint.FastStriper`.  No credit flow
-    control — the FCVC experiments measure per-packet control-plane
+    to the channels through :class:`FastChannelPort`, which takes each
+    pump chunk as one burst per channel.  No credit flow control — the FCVC experiments measure per-packet control-plane
     behaviour and stay on the reference path.
     """
 
@@ -201,7 +190,7 @@ class FastStripedSender(StripeSenderPipeline):
         )
 
     def stats(self) -> Dict[str, Any]:
-        """Fast-path perf counters: batched pump plus (if any) ARQ stats."""
+        """Fast-path perf counters: striper bursts plus (if any) ARQ stats."""
         stats: Dict[str, Any] = dict(self.striper.stats())
         if self.reliable is not None:
             arq = self.reliable.stats

@@ -1,12 +1,16 @@
 """Unit tests for the event-driven sender (backpressure + marker emission)."""
 
+import random
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.packet import Packet, is_marker
 from repro.core.srr import SRR, make_rr
 from repro.core.striper import ListPort, MarkerPolicy, Striper
 from repro.core.transform import TransformedLoadSharer
 from repro.baselines.sqf import ShortestQueueFirst
+from repro.sim.trace import NULL_TRACER, Tracer
 
 
 def make_striper(algorithm, port_limits=None, policy=None):
@@ -192,21 +196,135 @@ class TestValidation:
         assert len(ports[0].sent) + len(ports[1].sent) == 10
 
 
-class TestTracing:
-    def test_send_and_marker_events(self):
-        from repro.sim.trace import Tracer
+class BurstListPort(ListPort):
+    """A :class:`ListPort` that also takes bursts."""
 
-        tracer = Tracer()
-        algorithm = SRR([100.0, 100.0])
+    def send_burst(self, packets):
+        assert len(packets) <= self.free_capacity()
+        self.sent.extend(packets)
+
+    def free_capacity(self):
+        if self.limit is None:
+            return 1 << 30
+        return max(0, self.limit - len(self.sent))
+
+
+def _streams(ports):
+    """Per-port wire streams: ("data", seq) and ("marker", r, d) items."""
+    return [
+        [
+            ("marker", p.round_number, p.deficit) if is_marker(p)
+            else ("data", p.seq)
+            for p in port.sent
+        ]
+        for port in ports
+    ]
+
+
+def _reference_streams(quanta, sizes, policy):
+    """The per-packet sender, from the paper's definitions alone.
+
+    The frozen :class:`SRR` picks each packet's channel; after every packet
+    the pointer is walked one channel at a time from its old to its new
+    ``(ptr, round)``, and every ``interval_rounds``-th entry into
+    ``position`` emits one marker per channel carrying that channel's
+    next implicit number.
+    """
+    algorithm = SRR(quanta)
+    n = len(quanta)
+    state = algorithm.initial_state()
+    streams = [[] for _ in range(n)]
+
+    def markers():
+        for channel in range(n):
+            r, d = algorithm.next_number_for_channel(state, channel)
+            streams[channel].append(("marker", r, d))
+
+    if policy.initial_markers:
+        markers()
+    entries = 0
+    for seq, size in enumerate(sizes):
+        streams[algorithm.select(state)].append(("data", seq))
+        old, state = state, algorithm.update(state, size)
+        ptr, rnd = old.ptr, old.round_number
+        while (ptr, rnd) != (state.ptr, state.round_number):
+            ptr += 1
+            if ptr == n:
+                ptr, rnd = 0, rnd + 1
+            if ptr == policy.position % n:
+                entries += 1
+                if entries % policy.interval_rounds == 0:
+                    markers()
+    return streams
+
+
+class TestPumpMatchesPerPacketModel:
+    @given(
+        quanta=st.lists(st.integers(100, 1500), min_size=1, max_size=5),
+        sizes=st.lists(st.integers(40, 4000), min_size=1, max_size=80),
+        interval=st.integers(1, 3),
+        position=st.integers(0, 6),
+        bursty=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_streams_match_model(
+        self, quanta, sizes, interval, position, bursty, seed
+    ):
+        """Every channel's wire stream — data order and each marker's
+        place and ``(r, d)`` — equals the per-packet model's, under random
+        backpressure.  Sizes up to 4000 B against 100-1500 B quanta make
+        single steps hop channels and skip whole rounds."""
+        policy = MarkerPolicy(interval_rounds=interval, position=position)
+        port_cls = BurstListPort if bursty else ListPort
+        ports = [port_cls(limit=0) for _ in quanta]
         striper = Striper(
-            TransformedLoadSharer(algorithm),
-            [ListPort(), ListPort()],
+            TransformedLoadSharer(SRR([float(q) for q in quanta])),
+            ports,
+            policy,
+        )
+        striper.submit_many([Packet(s, seq=i) for i, s in enumerate(sizes)])
+        rng = random.Random(seed)
+        while striper.backlog:
+            rng.choice(ports).limit += rng.choice([1, 2, 5])
+            striper.pump()
+        assert _streams(ports) == _reference_streams(
+            [float(q) for q in quanta], sizes, policy
+        )
+        assert striper.bytes_sent == sum(sizes)
+
+
+class TestTracing:
+    @staticmethod
+    def _run(port_cls, tracer):
+        ports = [port_cls(limit=3), port_cls(limit=3)]
+        striper = Striper(
+            TransformedLoadSharer(SRR([100.0, 250.0])),
+            ports,
             MarkerPolicy(interval_rounds=1, initial_markers=False),
             tracer=tracer,
         )
-        for i in range(6):
-            striper.submit(Packet(100, seq=i))
-        assert tracer.count(kind="send") == 6
-        assert tracer.count(kind="marker") > 0
-        first = next(tracer.filter(kind="send"))
-        assert first.detail["channel"] == 0
+        striper.submit_many(
+            [Packet(100 + 50 * (i % 3), seq=i) for i in range(12)]
+        )
+        while striper.backlog:
+            for port in ports:
+                port.limit += 2
+            striper.pump()
+        return _streams(ports)
+
+    def test_send_and_marker_events(self):
+        """Per-packet and burst ports: the same events, and tracing does
+        not change what the pump sends."""
+        markers = None
+        for port_cls in (ListPort, BurstListPort):
+            tracer = Tracer()
+            streams = self._run(port_cls, tracer)
+            assert tracer.count(kind="send") == 12
+            assert tracer.count(kind="marker") > 0
+            if markers is None:
+                markers = tracer.count(kind="marker")
+            assert tracer.count(kind="marker") == markers
+            first = next(tracer.filter(kind="send"))
+            assert first.detail["channel"] == 0
+            assert streams == self._run(port_cls, NULL_TRACER)

@@ -19,7 +19,11 @@ from repro.core.kernel import SharerKernel, kernel_for
 from repro.core.packet import MarkerPacket, Packet, is_marker
 from repro.core.srr import SRR, make_rr
 from repro.core.striper import ListPort, MarkerPolicy, Striper
-from repro.core.transform import LoadSharer, TransformedLoadSharer
+from repro.core.transform import (
+    LoadSharer,
+    TransformedLoadSharer,
+    stripe_sequence,
+)
 from repro.experiments.socket_harness import (
     SocketTestbedConfig,
     build_socket_testbed,
@@ -29,7 +33,6 @@ from repro.sim.loss import BernoulliLoss
 from repro.transport.endpoint import (
     DISCIPLINES,
     ChannelFailureDetector,
-    FastStriper,
     StripeReceiverPipeline,
     StripeSenderPipeline,
     make_discipline,
@@ -189,19 +192,67 @@ class TestSenderPipeline:
         assert len(frames) == 4
         assert all(f.size == 256 for f in frames)
 
-    def test_fast_pump_selected_by_port_capabilities(self):
-        plain = StripeSenderPipeline(make_ports(2), "rr")
-        assert not isinstance(plain.striper, FastStriper)
+    @pytest.mark.parametrize("bursty", [False, True])
+    def test_capacity_queries_bounded_by_packets_sent(self, bursty):
+        """The one pump asks only the port the kernel's pointer reaches:
+        at most one capacity query per data packet sent plus one per
+        ``pump()`` call, for per-packet and burst ports alike (polling
+        every port per chunk would cost ``n`` queries per pump)."""
+        import random
 
-        class BurstPort(ListPort):
+        class CountingPort(ListPort):
+            def __init__(self):
+                super().__init__()
+                self.room = 0
+                self.queries = 0
+
+            def can_accept(self):
+                self.queries += 1
+                return self.room > 0
+
+            def send(self, packet, force=False):
+                if not force:
+                    assert self.room > 0
+                    self.room -= 1
+                return super().send(packet, force)
+
+        class CountingBurstPort(CountingPort):
+            def free_capacity(self):
+                self.queries += 1
+                return self.room
+
             def send_burst(self, packets):
+                assert len(packets) <= self.room
+                self.room -= len(packets)
                 self.sent.extend(packets)
 
-            def free_capacity(self):
-                return 1 << 30
-
-        fast = StripeSenderPipeline([BurstPort(), BurstPort()], "rr")
-        assert isinstance(fast.striper, FastStriper)
+        port_cls = CountingBurstPort if bursty else CountingPort
+        ports = [port_cls() for _ in range(4)]
+        pipeline = StripeSenderPipeline(
+            ports,
+            SRR([300.0, 500.0, 700.0, 900.0]),
+            marker_policy=MarkerPolicy(interval_rounds=1),
+        )
+        rng = random.Random(7)
+        packets = [Packet(rng.choice([40, 576, 1500]), seq=i) for i in range(400)]
+        pipeline.submit_packets(packets)
+        pumps = 1
+        while pipeline.backlog:
+            rng.choice(ports).room += rng.choice([1, 1, 1, 2, 8])
+            pipeline.pump()
+            pumps += 1
+        sent = pipeline.striper.packets_sent
+        assert sent == len(packets)
+        queries = sum(port.queries for port in ports)
+        assert queries <= sent + pumps
+        assert pipeline.striper.batched_packets == (sent if bursty else 0)
+        expected = stripe_sequence(
+            TransformedLoadSharer(SRR([300.0, 500.0, 700.0, 900.0])), packets
+        )
+        for port, channel in zip(ports, expected):
+            assert [p.seq for p in port.data_packets()] == [
+                p.seq for p in channel
+            ]
 
     def test_keepalive_requires_policy_and_scheduler(self):
         with pytest.raises(ValueError, match="marker policy"):
