@@ -91,12 +91,15 @@ fec-smoke:
 # serialization fixpoint), the kill/restart chaos properties (warm
 # checkpointed restarts and the cold marker-resync leg), the extended
 # fault-injector suite (corrupt_deliver, endpoint_crash, pool
-# double-release guard), and a quick pass of the recovery experiment.
+# double-release guard), a quick pass of the recovery experiment, and the
+# checkpoint codec micro-benchmark (asserts the 256-flow hybrid state's
+# serialize -> restore -> serialize fixpoint; writes BENCH_checkpoint.json).
 recovery-smoke:
 	PYTHONPATH=src pytest tests/transport/test_recovery.py \
 		tests/properties/test_recovery_properties.py \
 		tests/sim/test_faults.py
 	PYTHONPATH=src python -m repro.experiments.runner recovery --quick
+	PYTHONPATH=src pytest benchmarks/test_bench_checkpoint.py -x -q
 
 # Complexity/length guard for src/repro/transport/ and the striper pump
 # (C901, PLR0915); ruff is not vendored — install it locally to run this

@@ -49,15 +49,19 @@ path).
 
 from __future__ import annotations
 
-import pickle
+import functools
 import struct
 import zlib
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
+from repro.baselines.bonding import BondingFrame
+from repro.baselines.mppp import MpppFragment
 from repro.core.control import ResumePacket, ResumeReportPacket
 from repro.core.markers import ReceiverSnapshot, decode_marker, encode_marker
-from repro.core.packet import Packet, SackInfo, is_marker, is_parity
+from repro.core.packet import MarkerPacket, Packet
 from repro.core.srr import SRRState
+from repro.transport.fabric import FabricSnapshot
+from repro.transport.fec import ParityPacket
 from repro.transport.reliability import AckPacket
 
 __all__ = [
@@ -71,10 +75,12 @@ __all__ = [
     "checksum",
     "decode_checkpoint",
     "encode_checkpoint",
+    "pack_packet",
     "receiver_from_bytes",
     "receiver_to_bytes",
     "sender_from_bytes",
     "sender_to_bytes",
+    "unpack_packet",
 ]
 
 
@@ -93,7 +99,8 @@ class CheckpointError(ValueError):
 
 
 class CheckpointCorruptError(CheckpointError):
-    """Frame failed its magic or CRC check (bit rot, torn write)."""
+    """Frame or record failed its magic, CRC or layout check (bit rot,
+    torn write, forged body)."""
 
 
 class CheckpointVersionError(CheckpointError):
@@ -101,136 +108,487 @@ class CheckpointVersionError(CheckpointError):
 
 
 # --------------------------------------------------------------------- #
-# tagged tree codec
+# fixed-layout record codec
 #
-# Checkpoints are trees of plain values (dict/list/tuple/str/bytes/
-# int/float/bool/None) with two protocol-native leaves: SRRState (the
-# kernel triple) and ReceiverSnapshot (the mirror quintuple).  Anything
-# else — opaque scheme state from an exotic CFQ kernel, a foreign payload
-# object — rides as a tagged pickle blob.  The envelope is versioned and
-# CRC-guarded, and checkpoints are local trusted files, so the fallback
-# does not widen the attack surface beyond the process's own state.
+# A checkpoint body is one kind byte followed by that kind's sections in
+# a fixed order: ``V`` a plain value (encode_checkpoint), ``S`` a sender,
+# ``R`` a receiver.  Per-flow, per-packet and ARQ-window state are struct
+# rows.  Only the small discipline and sync-model snapshots go through
+# the value codec: None/bool/int/float/str/bytes, list/tuple/dict,
+# SRRState, ReceiverSnapshot and packet leaves.  Encoding any other type
+# raises CheckpointError when the checkpoint is taken; reading a
+# malformed body or record raises CheckpointCorruptError and nothing
+# else, so a forged frame can neither crash recovery nor build objects
+# the codec did not write.
 
+_U8 = struct.Struct("!B")
 _U32 = struct.Struct("!I")
+_I64 = struct.Struct("!q")
 _F64 = struct.Struct("!d")
+_PAIR = struct.Struct("!qq")
+_I64_MIN, _I64_MAX = -(1 << 63), (1 << 63) - 1
+#: deepest list/tuple/dict nesting the value codec writes or reads
+_MAX_VALUE_DEPTH = 32
+#: strings up to this length have their scalar encoding memoized
+_SHORT_STR = 64
+
+#: presence bits of a packet record's optional sequence numbers
+_HAS_SEQ, _HAS_RSEQ, _HAS_FSEQ, _SYNTHESIZED = 1, 2, 4, 8
+#: packet records open with their kind byte: D data, M marker, Q parity,
+#: G MPPP fragment, B BONDING frame
+_DATA = struct.Struct("!cBqqqq")  # flags, size, seq, rseq, fseq
+_MARKER = struct.Struct("!cB")  # wire length
+_PARITY = struct.Struct("!cBqqqqqqqqq")  # flags, geometry, size, seqs
+_FRAGMENT = struct.Struct("!cqq")  # MPPP sequence, header bytes
+_FRAME = struct.Struct("!cqqqI")  # BONDING sequence, channel, bytes, slices
+_KERNEL = struct.Struct("!qqI")  # ptr, round number, channels
+_SENDER = struct.Struct("!qqqqqB")  # peer epoch, striper counters
+_ARQ_SENDER = struct.Struct("!qBddd")  # next rseq, RTO presence, RTO triple
+_ARQ_RECEIVER = struct.Struct("!qBq")  # cursor, has last ooo, last ooo
+_FLOW_ROW = struct.Struct("!ddqI")  # weight, deficit, visits, queued
+_BIND = struct.Struct("!cqq")  # kind, uid, rseq
 
 
-def _encode_tree(value: Any, out: List[bytes]) -> None:
+@functools.lru_cache(maxsize=4096)
+def _short_str(value: str) -> bytes:
+    # Flow ids and codepoints repeat in every flow row and packet record.
+    body = value.encode("utf-8")
+    return b"s" + _U32.pack(len(body)) + body
+
+
+def _put_scalar(out: bytearray, value: Any) -> None:
+    kind = type(value)
     if value is None:
-        out.append(b"N")
-    elif value is True:
-        out.append(b"T")
-    elif value is False:
-        out.append(b"F")
-    elif type(value) is int:
-        body = str(value).encode("ascii")
-        out.append(b"i" + _U32.pack(len(body)) + body)
-    elif type(value) is float:
-        out.append(b"f" + _F64.pack(value))
-    elif type(value) is str:
-        body = value.encode("utf-8")
-        out.append(b"s" + _U32.pack(len(body)) + body)
-    elif type(value) is bytes:
-        out.append(b"y" + _U32.pack(len(value)) + value)
-    elif type(value) is list or type(value) is tuple:
-        out.append((b"l" if type(value) is list else b"t") + _U32.pack(len(value)))
-        for item in value:
-            _encode_tree(item, out)
-    elif type(value) is dict:
-        out.append(b"d" + _U32.pack(len(value)))
-        for key, item in value.items():
-            _encode_tree(key, out)
-            _encode_tree(item, out)
-    elif type(value) is SRRState:
-        out.append(b"K")
-        _encode_tree((value.ptr, value.round_number, list(value.dc)), out)
-    elif type(value) is ReceiverSnapshot:
-        out.append(b"R")
-        _encode_tree(
-            (
-                value.ptr,
-                value.round_number,
-                list(value.dc),
-                list(value.pending),
-                list(value.sync_round),
-            ),
-            out,
-        )
+        out += b"N"
+    elif kind is str:
+        if len(value) <= _SHORT_STR:
+            out += _short_str(value)
+        else:
+            body = value.encode("utf-8")
+            out += b"s" + _U32.pack(len(body)) + body
+    elif kind is int:
+        if _I64_MIN <= value <= _I64_MAX:
+            out += b"i" + _I64.pack(value)
+        else:
+            body = value.to_bytes(value.bit_length() // 8 + 1, "big", signed=True)
+            out += b"I" + _U32.pack(len(body)) + body
+    elif kind is bool:
+        out += b"T" if value else b"F"
+    elif kind is float:
+        out += b"f" + _F64.pack(value)
+    elif kind is bytes:
+        out += b"y" + _U32.pack(len(value)) + value
     else:
-        body = pickle.dumps(value, protocol=4)
-        out.append(b"P" + _U32.pack(len(body)) + body)
+        raise CheckpointError(f"cannot checkpoint a {kind.__name__} value")
 
 
-def _decode_tree(data: bytes, pos: int) -> Tuple[Any, int]:
-    tag = data[pos : pos + 1]
-    pos += 1
-    if tag == b"N":
-        return None, pos
-    if tag == b"T":
-        return True, pos
-    if tag == b"F":
-        return False, pos
-    if tag == b"f":
-        return _F64.unpack_from(data, pos)[0], pos + 8
-    if tag in (b"i", b"s", b"y", b"P"):
-        (length,) = _U32.unpack_from(data, pos)
-        pos += 4
-        body = data[pos : pos + length]
-        if len(body) != length:
-            raise CheckpointCorruptError("truncated leaf")
-        pos += length
-        if tag == b"i":
-            return int(body), pos
-        if tag == b"s":
-            return body.decode("utf-8"), pos
-        if tag == b"y":
-            return body, pos
-        return pickle.loads(body), pos
-    if tag in (b"l", b"t"):
-        (count,) = _U32.unpack_from(data, pos)
-        pos += 4
-        items = []
-        for _ in range(count):
-            item, pos = _decode_tree(data, pos)
-            items.append(item)
-        return (items if tag == b"l" else tuple(items)), pos
-    if tag == b"d":
-        (count,) = _U32.unpack_from(data, pos)
-        pos += 4
-        tree: Dict[Any, Any] = {}
-        for _ in range(count):
-            key, pos = _decode_tree(data, pos)
-            value, pos = _decode_tree(data, pos)
-            tree[key] = value
-        return tree, pos
-    if tag == b"K":
-        triple, pos = _decode_tree(data, pos)
-        ptr, round_number, dc = triple
-        return SRRState(ptr, round_number, tuple(dc)), pos
-    if tag == b"R":
-        fields, pos = _decode_tree(data, pos)
-        ptr, round_number, dc, pending, sync_round = fields
-        return (
-            ReceiverSnapshot(
-                ptr, round_number, tuple(dc), tuple(pending), tuple(sync_round)
-            ),
-            pos,
+def _put_scalars(out: bytearray, values: Tuple[Any, ...]) -> None:
+    # One call per packet or flow row: the common None and short-string
+    # cases skip the per-value _put_scalar call.
+    for value in values:
+        if value is None:
+            out += b"N"
+        elif type(value) is str and len(value) <= _SHORT_STR:
+            out += _short_str(value)
+        else:
+            _put_scalar(out, value)
+
+
+def _put_value(out: bytearray, value: Any, depth: int = 0) -> None:
+    kind = type(value)
+    if kind is list or kind is tuple or kind is dict:
+        if depth >= _MAX_VALUE_DEPTH:
+            raise CheckpointError("checkpoint value nested too deeply")
+        if kind is dict:
+            out += b"d" + _U32.pack(len(value))
+            for key, item in value.items():
+                _put_value(out, key, depth + 1)
+                _put_value(out, item, depth + 1)
+        else:
+            out += (b"l" if kind is list else b"t") + _U32.pack(len(value))
+            for item in value:
+                _put_value(out, item, depth + 1)
+    elif kind is SRRState:
+        n = len(value.dc)
+        out += b"K" + _KERNEL.pack(value.ptr, value.round_number, n)
+        out += struct.pack(f"!{n}d", *value.dc)
+    elif kind is ReceiverSnapshot:
+        n = len(value.dc)
+        if not len(value.pending) == len(value.sync_round) == n:
+            raise CheckpointError("receiver snapshot rows differ in length")
+        out += b"R" + _KERNEL.pack(value.ptr, value.round_number, n)
+        out += struct.pack(f"!{n}d", *value.dc)
+        out += bytes(
+            bool(pending) | (sync is not None) << 1
+            for pending, sync in zip(value.pending, value.sync_round)
         )
-    raise CheckpointCorruptError(f"unknown tree tag {tag!r}")
+        out += struct.pack(
+            f"!{n}q", *(0 if sync is None else sync for sync in value.sync_round)
+        )
+    elif kind in _PACKET_WRITERS:
+        out += b"p"
+        _PACKET_WRITERS[kind](out, value)
+    else:
+        _put_scalar(out, value)
+
+
+def _put_data(out: bytearray, packet: Packet) -> None:
+    seq, rseq, fseq = packet.seq, packet.rseq, packet.fseq
+    out += _DATA.pack(
+        b"D",
+        (seq is not None)
+        | (rseq is not None) << 1
+        | (fseq is not None) << 2
+        | bool(packet.synthesized) << 3,
+        packet.size,
+        seq or 0,
+        rseq or 0,
+        fseq or 0,
+    )
+    _put_scalars(out, (packet.label, packet.flow, packet.payload, packet.codepoint))
+
+
+def _put_marker(out: bytearray, marker: MarkerPacket) -> None:
+    wire = encode_marker(marker)
+    out += _MARKER.pack(b"M", len(wire)) + wire
+
+
+def _put_parity(out: bytearray, parity: ParityPacket) -> None:
+    seqs = (parity.seq, parity.rseq, parity.fseq)
+    out += _PARITY.pack(
+        b"Q",
+        sum(1 << bit for bit, value in enumerate(seqs) if value is not None),
+        parity.group, parity.members, parity.index, parity.nparity,
+        parity.shard_len, parity.size, *(value or 0 for value in seqs),
+    )
+    out += _U32.pack(len(parity.payload)) + parity.payload
+
+
+def _put_fragment(out: bytearray, fragment: MpppFragment) -> None:
+    if type(fragment.inner) is not Packet:
+        raise CheckpointError("an MPPP fragment must wrap a data packet")
+    out += _FRAGMENT.pack(b"G", fragment.sequence, fragment.header_bytes)
+    _put_data(out, fragment.inner)
+
+
+def _put_frame(out: bytearray, frame: BondingFrame) -> None:
+    out += _FRAME.pack(
+        b"B",
+        frame.sequence, frame.channel, frame.payload_bytes, len(frame.content)
+    )
+    for uid, nbytes in frame.content:
+        out += _PAIR.pack(uid, nbytes)
+
+
+_PACKET_WRITERS: Dict[type, Callable[[bytearray, Any], None]] = {
+    Packet: _put_data,
+    MarkerPacket: _put_marker,
+    ParityPacket: _put_parity,
+    MpppFragment: _put_fragment,
+    BondingFrame: _put_frame,
+}
+
+
+def _put_packet(out: bytearray, packet: Any) -> None:
+    put = _PACKET_WRITERS.get(type(packet))
+    if put is None:
+        raise CheckpointError(f"cannot checkpoint a {type(packet).__name__}")
+    put(out, packet)
+
+
+def _put_packets(out: bytearray, packets: Any) -> None:
+    out += _U32.pack(len(packets))
+    for packet in packets:
+        _put_packet(out, packet)
+
+
+def _encode(
+    put: Callable[[bytearray, Any], None], value: Any, kind: bytes = b""
+) -> bytes:
+    """Run a writer; a value it cannot lay out raises CheckpointError."""
+    out = bytearray(kind)
+    try:
+        put(out, value)
+    except CheckpointError:
+        raise
+    except (struct.error, TypeError, ValueError, OverflowError) as exc:
+        raise CheckpointError(f"cannot checkpoint: {exc}") from None
+    return bytes(out)
+
+
+class _Reader:
+    """Bounds-checked cursor over one checkpoint body or WAL record."""
+
+    __slots__ = ("data", "pos")
+
+    def __init__(self, data: bytes) -> None:
+        self.data = data
+        self.pos = 0
+
+    def take(self, n: int) -> bytes:
+        end = self.pos + n
+        if end > len(self.data):
+            raise CheckpointCorruptError("record truncated")
+        chunk = bytes(self.data[self.pos : end])
+        self.pos = end
+        return chunk
+
+    def unpack(self, fmt: struct.Struct) -> Tuple[Any, ...]:
+        values = fmt.unpack_from(self.data, self.pos)
+        self.pos += fmt.size
+        return values
+
+    def array(self, code: str, n: int) -> Tuple[Any, ...]:
+        return self.unpack(struct.Struct(f"!{n}{code}"))
+
+    def bounded(self, n: int, width: int = 1) -> int:
+        """``n``, if ``n`` items of at least ``width`` bytes fit the rest."""
+        if n * width > len(self.data) - self.pos:
+            raise CheckpointCorruptError("item count overruns the record")
+        return n
+
+    def count(self, width: int = 1) -> int:
+        """A bounded u32 item count."""
+        return self.bounded(self.unpack(_U32)[0], width)
+
+    def flag(self) -> bool:
+        (byte,) = self.unpack(_U8)
+        if byte > 1:
+            raise CheckpointCorruptError(f"bad flag byte {byte}")
+        return bool(byte)
+
+    # -- values ---------------------------------------------------------- #
+
+    def scalar(self) -> Any:
+        tag = self.take(1)
+        if tag == b"N":
+            return None
+        if tag == b"s":
+            return self.take(self.count()).decode("utf-8")
+        if tag == b"i":
+            return self.unpack(_I64)[0]
+        if tag == b"T":
+            return True
+        if tag == b"F":
+            return False
+        if tag == b"f":
+            return self.unpack(_F64)[0]
+        if tag == b"y":
+            return self.take(self.count())
+        if tag == b"I":
+            return int.from_bytes(self.take(self.count()), "big", signed=True)
+        raise CheckpointCorruptError(f"unknown value tag {tag!r}")
+
+    def value(self, depth: int = 0) -> Any:
+        tag = self.data[self.pos : self.pos + 1]
+        if tag in (b"l", b"t", b"d"):
+            if depth >= _MAX_VALUE_DEPTH:
+                raise CheckpointCorruptError("checkpoint value nested too deeply")
+            self.pos += 1
+            if tag == b"d":
+                tree: Dict[Any, Any] = {}
+                for _ in range(self.count(2)):
+                    key = self.value(depth + 1)
+                    tree[key] = self.value(depth + 1)
+                return tree
+            items = [self.value(depth + 1) for _ in range(self.count())]
+            return items if tag == b"l" else tuple(items)
+        if tag == b"K":
+            self.pos += 1
+            ptr, round_number, n = self.unpack(_KERNEL)
+            return SRRState(ptr, round_number, self.array("d", n))
+        if tag == b"R":
+            self.pos += 1
+            ptr, round_number, n = self.unpack(_KERNEL)
+            dc = self.array("d", n)
+            bits = self.take(n)
+            syncs = self.array("q", n)
+            if any(b > 3 for b in bits):
+                raise CheckpointCorruptError("bad receiver snapshot row")
+            return ReceiverSnapshot(
+                ptr,
+                round_number,
+                dc,
+                tuple(bool(b & 1) for b in bits),
+                tuple(s if b & 2 else None for b, s in zip(bits, syncs)),
+            )
+        if tag == b"p":
+            self.pos += 1
+            return self.packet()
+        return self.scalar()
+
+    # -- packets --------------------------------------------------------- #
+
+    def packet(self) -> Any:
+        # Peek: each record's struct re-reads its own kind byte.
+        read = _PACKET_READERS.get(self.data[self.pos : self.pos + 1])
+        if read is None:
+            raise CheckpointCorruptError("unknown packet record kind")
+        return read(self)
+
+    def packets(self) -> List[Any]:
+        return [self.packet() for _ in range(self.count())]
+
+    def data_packet(self) -> Packet:
+        _, flags, size, seq, rseq, fseq = self.unpack(_DATA)
+        if flags > 15:
+            raise CheckpointCorruptError(f"bad packet flags {flags:#x}")
+        packet = Packet(
+            size,
+            seq=seq if flags & _HAS_SEQ else None,
+            label=self.scalar(),
+            flow=self.scalar(),
+            payload=self.scalar(),
+            codepoint=self.scalar(),
+            rseq=rseq if flags & _HAS_RSEQ else None,
+            fseq=fseq if flags & _HAS_FSEQ else None,
+        )
+        packet.synthesized = bool(flags & _SYNTHESIZED)
+        return packet
+
+    def marker(self) -> MarkerPacket:
+        _, length = self.unpack(_MARKER)
+        return decode_marker(self.take(length))
+
+    def parity(self) -> ParityPacket:
+        _, flags, group, members, index, nparity, shard_len, size, seq, rseq, fseq = (
+            self.unpack(_PARITY)
+        )
+        if flags > 7:
+            raise CheckpointCorruptError(f"bad parity flags {flags:#x}")
+        return ParityPacket(
+            group, members, index, nparity, shard_len, self.take(self.count()),
+            size=size,
+            seq=seq if flags & _HAS_SEQ else None,
+            rseq=rseq if flags & _HAS_RSEQ else None,
+            fseq=fseq if flags & _HAS_FSEQ else None,
+        )
+
+    def fragment(self) -> MpppFragment:
+        _, sequence, header_bytes = self.unpack(_FRAGMENT)
+        if self.data[self.pos : self.pos + 1] != b"D":
+            raise CheckpointCorruptError("an MPPP fragment must wrap a data packet")
+        return MpppFragment(sequence, self.data_packet(), header_bytes)
+
+    def frame(self) -> BondingFrame:
+        _, sequence, channel, payload_bytes, n = self.unpack(_FRAME)
+        content = [self.unpack(_PAIR) for _ in range(self.bounded(n, _PAIR.size))]
+        return BondingFrame(sequence, channel, payload_bytes, content)
+
+    # -- checkpoint bodies and WAL records ------------------------------- #
+
+    def checkpoint(self) -> Any:
+        kind = self.take(1)
+        if kind == b"V":
+            return self.value()
+        if kind == b"S":
+            return self.sender()
+        if kind == b"R":
+            return self.receiver()
+        raise CheckpointCorruptError(f"unknown checkpoint kind {kind!r}")
+
+    def sender(self) -> SenderCheckpoint:
+        peer_epoch, *counters = self.unpack(_SENDER)
+        kernel = self.value()
+        arq = None
+        if self.flag():
+            next_rseq, has_rtt, srtt, rttvar, rto = self.unpack(_ARQ_SENDER)
+            window = [(self.flag(), self.packet()) for _ in range(self.count(2))]
+            rtt = (srtt if has_rtt & 1 else None, rttvar if has_rtt & 2 else None)
+            arq = (next_rseq, (*rtt, rto), window, self.packets())
+        fec = self.unpack(_PAIR) if self.flag() else None
+        fabric = self.fabric() if self.flag() else None
+        return SenderCheckpoint(
+            peer_epoch, tuple(counters), kernel, arq, fec, fabric, self.packets()
+        )
+
+    def fabric(self) -> Tuple[List[Tuple[Any, ...]], Tuple[Any, ...], bool]:
+        rows = []
+        for _ in range(self.count(_FLOW_ROW.size + 2)):
+            flow_id = self.scalar()
+            tenant = self.scalar()
+            weight, deficit, visits, queued = self.unpack(_FLOW_ROW)
+            queue = [self.packet() for _ in range(self.bounded(queued))]
+            rows.append((flow_id, tenant, weight, deficit, visits, queue))
+        order = self.array("I", self.count(4))
+        if any(i >= len(rows) for i in order):
+            raise CheckpointCorruptError("active order names no flow row")
+        return rows, tuple(rows[i][0] for i in order), self.flag()
+
+    def receiver(self) -> ReceiverCheckpoint:
+        (sender_epoch,) = self.unpack(_I64)
+        sync = self.value()
+        buffers = None
+        if self.flag():
+            buffers = [self.packets() for _ in range(self.count(4))]
+        pushed = list(self.array("q", self.count(8)))
+        arq = None
+        if self.flag():
+            cursor, has_last, last_ooo = self.unpack(_ARQ_RECEIVER)
+            ooo = {}
+            for _ in range(self.count(_I64.size + 1)):
+                (rseq,) = self.unpack(_I64)
+                ooo[rseq] = self.packet()
+            arq = (cursor, last_ooo if has_last else None, ooo)
+        fec = self.unpack(_PAIR) if self.flag() else None
+        return ReceiverCheckpoint(sender_epoch, sync, buffers, pushed, arq, fec)
+
+    def sender_wal(self) -> Tuple[bytes, Any, Any, Any]:
+        """``(kind, uid, flow_id, packet or rseq)`` of a sender WAL record."""
+        kind = self.take(1)
+        if kind == b"b":
+            uid, rseq = self.unpack(_PAIR)
+            return kind, uid, None, rseq
+        if kind == b"p":
+            return kind, None, None, self.packet()
+        if kind == b"s":
+            (uid,) = self.unpack(_I64)
+            flow_id = self.scalar()
+            return kind, uid, flow_id, self.packet()
+        raise CheckpointCorruptError(f"unknown WAL record kind {kind!r}")
+
+    def cursor(self) -> int:
+        return self.unpack(_I64)[0]
+
+
+_PACKET_READERS: Dict[bytes, Callable[[_Reader], Any]] = {
+    b"D": _Reader.data_packet,
+    b"M": _Reader.marker,
+    b"Q": _Reader.parity,
+    b"G": _Reader.fragment,
+    b"B": _Reader.frame,
+}
+
+
+def _parse(data: bytes, read: Callable[[_Reader], Any]) -> Any:
+    """Read all of ``data``; every failure is a CheckpointCorruptError."""
+    reader = _Reader(data)
+    try:
+        value = read(reader)
+    except CheckpointCorruptError:
+        raise
+    except (struct.error, ValueError, TypeError, OverflowError) as exc:
+        raise CheckpointCorruptError(f"malformed record: {exc}") from None
+    if reader.pos != len(data):
+        raise CheckpointCorruptError(
+            f"{len(data) - reader.pos} trailing bytes after the record"
+        )
+    return value
 
 
 CHECKPOINT_MAGIC = b"SRCK"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 _HEADER = struct.Struct("!4sHI")  # magic, version, body length
 
 
-def encode_checkpoint(tree: Any, *, version: int = CHECKPOINT_VERSION) -> bytes:
-    """Frame ``tree`` as ``magic | version | length | body | crc32``."""
-    parts: List[bytes] = []
-    _encode_tree(tree, parts)
-    body = b"".join(parts)
+def _frame(body: bytes, version: int = CHECKPOINT_VERSION) -> bytes:
     frame = _HEADER.pack(CHECKPOINT_MAGIC, version, len(body)) + body
     return frame + _U32.pack(checksum(frame))
+
+
+def encode_checkpoint(tree: Any, *, version: int = CHECKPOINT_VERSION) -> bytes:
+    """Frame a plain value as ``magic | version | length | body | crc32``."""
+    return _frame(_encode(_put_value, tree, b"V"), version)
 
 
 def decode_checkpoint(blob: bytes) -> Any:
@@ -238,9 +596,12 @@ def decode_checkpoint(blob: bytes) -> Any:
 
     Validation order is magic → CRC → version: a bit-rotted frame raises
     :class:`CheckpointCorruptError` even if the rot landed in the version
-    field, while an *intact* frame from a future codec raises the typed
-    :class:`CheckpointVersionError` so callers can distinguish skew from
-    damage.
+    field, while an *intact* frame from another codec version raises the
+    typed :class:`CheckpointVersionError` so callers can distinguish skew
+    from damage.  A body that does not parse, or that does not fill its
+    declared length exactly, is corrupt.  Returns the value of an
+    :func:`encode_checkpoint` frame, or the decoded sections of a sender
+    or receiver checkpoint.
     """
     if len(blob) < _HEADER.size + 4:
         raise CheckpointCorruptError("checkpoint too short")
@@ -252,15 +613,14 @@ def decode_checkpoint(blob: bytes) -> Any:
     magic, version, length = _HEADER.unpack_from(blob, 0)
     if version != CHECKPOINT_VERSION:
         raise CheckpointVersionError(f"unknown checkpoint version {version}")
-    body = blob[_HEADER.size : _HEADER.size + length]
+    body = frame[_HEADER.size :]
     if len(body) != length:
-        raise CheckpointCorruptError("checkpoint body truncated")
-    tree, _ = _decode_tree(body, 0)
-    return tree
+        raise CheckpointCorruptError("checkpoint body length mismatch")
+    return _parse(body, _Reader.checkpoint)
 
 
-def _seal_record(payload: bytes) -> bytes:
-    return _U32.pack(len(payload)) + payload + _U32.pack(checksum(payload))
+#: a sealed WAL record is ``length | crc32 | payload``
+_SEAL = struct.Struct("!II")
 
 
 def _unseal_records(blob: bytes) -> Tuple[List[bytes], int]:
@@ -274,14 +634,17 @@ def _unseal_records(blob: bytes) -> Tuple[List[bytes], int]:
     skipped = 0
     pos = 0
     total = len(blob)
-    while pos + 4 <= total:
-        (length,) = _U32.unpack_from(blob, pos)
-        end = pos + 4 + length + 4
+    while pos < total:
+        start = pos + _SEAL.size
+        if start > total:
+            skipped += 1
+            break
+        length, crc = _SEAL.unpack_from(blob, pos)
+        end = start + length
         if end > total:
             skipped += 1
             break
-        payload = blob[pos + 4 : pos + 4 + length]
-        (crc,) = _U32.unpack_from(blob, pos + 4 + length)
+        payload = blob[start:end]
         if checksum(payload) != crc:
             skipped += 1
             break
@@ -330,7 +693,7 @@ class CheckpointStore:
         self.checkpoints_saved += 1
 
     def append_wal(self, payload: bytes) -> None:
-        sealed = _seal_record(payload)
+        sealed = _SEAL.pack(len(payload), zlib.crc32(payload)) + payload
         self._wal.append(sealed)
         self.wal_records += 1
         self.wal_bytes += len(sealed)
@@ -374,56 +737,27 @@ class CheckpointStore:
 
 
 # --------------------------------------------------------------------- #
-# packet packing
-
-_PACKET_FIELDS = (
-    "size", "seq", "label", "flow", "payload", "codepoint", "rseq", "fseq",
-    "synthesized",
-)
+# packet records
 
 
-_PARITY_FIELDS = (
-    "group", "members", "index", "nparity", "shard_len", "payload", "size",
-    "seq", "rseq", "fseq",
-)
+def pack_packet(packet: Any) -> bytes:
+    """Fixed-layout record of a buffered packet.
 
-
-def pack_packet(packet: Any) -> Any:
-    """Checkpoint form of a data, marker, or parity packet.
-
-    Markers reuse the canonical 32-byte wire codec; data and parity
-    packets are field tuples (``uid`` is deliberately dropped — a restored
-    packet is a new object).  Parity needs its own shape: a stripe-group
-    shard buffered in a resequencer at checkpoint time must come back with
-    its group geometry or the FEC receiver cannot consume it.
+    One record per kind: data packets as a struct row plus scalar
+    ``label``/``flow``/``payload``/``codepoint``, markers as their
+    canonical wire form, parity with its group geometry (a stripe-group
+    shard buffered in a resequencer must come back with it or the FEC
+    receiver cannot consume it), MPPP fragments and BONDING frames with
+    their sequence headers.  ``uid`` is deliberately dropped: a restored
+    packet is a new object.  Any other packet type raises
+    :class:`CheckpointError`.
     """
-    if is_marker(packet):
-        return {"m": encode_marker(packet)}
-    if is_parity(packet):
-        return {"q": [getattr(packet, name) for name in _PARITY_FIELDS]}
-    return {"p": [getattr(packet, name, None) for name in _PACKET_FIELDS]}
+    return _encode(_put_packet, packet)
 
 
-def unpack_packet(tree: Any) -> Any:
-    wire = tree.get("m")
-    if wire is not None:
-        return decode_marker(wire)
-    parity = tree.get("q")
-    if parity is not None:
-        from repro.transport.fec import ParityPacket
-
-        group, members, index, nparity, shard_len, payload, size, seq, rseq, fseq = parity
-        return ParityPacket(
-            group, members, index, nparity, shard_len, payload,
-            size=size, seq=seq, rseq=rseq, fseq=fseq,
-        )
-    size, seq, label, flow, payload, codepoint, rseq, fseq, synthesized = tree["p"]
-    packet = Packet(
-        size, seq=seq, label=label, flow=flow, payload=payload,
-        codepoint=codepoint, rseq=rseq, fseq=fseq,
-    )
-    packet.synthesized = bool(synthesized)
-    return packet
+def unpack_packet(record: bytes) -> Any:
+    """Inverse of :func:`pack_packet`; malformed input is corrupt."""
+    return _parse(record, _Reader.packet)
 
 
 def _sharer_snapshot(sharer: Any) -> Any:
@@ -451,178 +785,200 @@ def _sharer_restore(sharer: Any, state: Any) -> None:
 
 
 # --------------------------------------------------------------------- #
-# composed endpoint state <-> tree
+# composed endpoint state <-> checkpoint body
 
 
-def sender_state_tree(pipeline: Any, *, peer_epoch: int = 0) -> Dict[str, Any]:
+class SenderCheckpoint(NamedTuple):
+    """A decoded sender checkpoint, in its body's section order."""
+
+    peer_epoch: int
+    #: striper packets/bytes/markers sent, crossings seen, initial markers
+    counters: Tuple[int, ...]
+    kernel: Any
+    #: ``(next_rseq, (srtt, rttvar, rto), [(sacked, packet)], overflow)``
+    arq: Optional[Tuple[int, Tuple[Any, ...], List[Tuple[bool, Any]], List[Any]]]
+    #: ``(next_fseq, group_base)``
+    fec: Optional[Tuple[int, int]]
+    #: ``(rows, active_order, head_credited)``; one row per flow:
+    #: ``(flow_id, tenant, weight, deficit, visits, queue)``
+    fabric: Optional[Tuple[List[Tuple[Any, ...]], Tuple[Any, ...], bool]]
+    #: striper input not yet stamped by the ARQ layer
+    queue: List[Any]
+
+
+class ReceiverCheckpoint(NamedTuple):
+    """A decoded receiver checkpoint, in its body's section order."""
+
+    sender_epoch: int
+    sync: Any
+    buffers: Optional[List[List[Any]]]
+    pushed: List[int]
+    #: ``(next_expected, last_ooo, {rseq: packet})``
+    arq: Optional[Tuple[int, Optional[int], Dict[int, Any]]]
+    #: ``(next_expected, delivered_hw)``
+    fec: Optional[Tuple[int, int]]
+
+
+def _put_sender(out: bytearray, state: Tuple[Any, int]) -> None:
+    pipeline, peer_epoch = state
     striper = pipeline.striper
+    out += _SENDER.pack(
+        peer_epoch,
+        striper.packets_sent,
+        striper.bytes_sent,
+        striper.markers_sent,
+        striper._crossings_seen,
+        bool(striper._initial_markers_pending),
+    )
+    _put_value(out, _sharer_snapshot(striper.sharer))
     reliable = pipeline.reliable
-    tree: Dict[str, Any] = {
-        "role": "sender",
-        "peer_epoch": peer_epoch,
-        "striper": {
-            "sharer": _sharer_snapshot(striper.sharer),
-            "packets_sent": striper.packets_sent,
-            "bytes_sent": striper.bytes_sent,
-            "markers_sent": striper.markers_sent,
-            "crossings": striper._crossings_seen,
-            "initial_markers": striper._initial_markers_pending,
-            # Queue entries already stamped with an rseq alias the ARQ
-            # retransmit buffer and come back through the replay path;
-            # only unstamped entries are serialized here.
-            "queue": [
-                pack_packet(p)
-                for p in striper.input_queue
-                if getattr(p, "rseq", None) is None
-            ],
-        },
-    }
-    if reliable is not None:
-        tree["reliable"] = {
-            "next_rseq": reliable.next_rseq,
-            "window": [pack_packet(r.packet) for r in reliable.unacked.values()],
-            "sacked": [
-                rseq for rseq, r in reliable.unacked.items() if r.sacked
-            ],
-            "overflow": [pack_packet(p) for p in reliable._overflow],
-            "rto": [reliable.rto.srtt, reliable.rto.rttvar, reliable.rto.rto],
-        }
+    if reliable is None:
+        out += b"\x00"
     else:
-        tree["reliable"] = None
+        rto = reliable.rto
+        out += b"\x01" + _ARQ_SENDER.pack(
+            reliable.next_rseq,
+            (rto.srtt is not None) | (rto.rttvar is not None) << 1,
+            rto.srtt or 0.0,
+            rto.rttvar or 0.0,
+            rto.rto,
+        )
+        out += _U32.pack(len(reliable.unacked))
+        for record in reliable.unacked.values():
+            out += b"\x01" if record.sacked else b"\x00"
+            _put_packet(out, record.packet)
+        _put_packets(out, reliable._overflow)
     fec = pipeline.fec
-    if fec is not None:
+    if fec is None:
+        out += b"\x00"
+    else:
         # The in-progress group's shards are dropped: after restart the
         # group would seal with holes anyway, and hybrid's ARQ backstop
         # (or pure-fec's gap skip) already owns unrecoverable positions.
-        tree["fec"] = {
-            "next_fseq": fec._next_fseq,
-            "group_base": fec._group_base,
-        }
-    else:
-        tree["fec"] = None
+        out += b"\x01" + _PAIR.pack(fec._next_fseq, fec._group_base)
     fabric = pipeline.fabric
-    if fabric is not None:
-        snap = fabric.snapshot()
-        tree["fabric"] = {
-            "flows": [
-                {
-                    "id": f.flow_id,
-                    "tenant": f.tenant,
-                    "weight": f.weight,
-                    "queue": [pack_packet(p) for p in f.queue],
-                }
-                for f in fabric.table
-            ],
-            "sched": [
-                [[fid, deficit, visits] for fid, deficit, visits in snap.flows],
-                list(snap.active_order),
-                snap.head_credited,
-            ],
-        }
+    if fabric is None:
+        out += b"\x00"
     else:
-        tree["fabric"] = None
-    return tree
+        out += b"\x01"
+        _put_fabric(out, fabric)
+    # Queue entries already stamped with an rseq alias the ARQ retransmit
+    # buffer and come back through the replay path; only unstamped entries
+    # are serialized here.
+    _put_packets(
+        out,
+        [p for p in striper.input_queue if getattr(p, "rseq", None) is None],
+    )
 
 
-def restore_sender_state(pipeline: Any, tree: Dict[str, Any]) -> None:
-    if tree.get("role") != "sender":
+def _put_fabric(out: bytearray, fabric: Any) -> None:
+    # One row per flow straight from the table (fabric.snapshot() would
+    # copy every idle flow's scheduling state first); restore goes back
+    # through fabric.restore().
+    table = fabric.table
+    pack_row = _FLOW_ROW.pack
+    out += _U32.pack(len(table))
+    for flow in table:
+        _put_scalars(out, (flow.flow_id, flow.tenant))
+        queue = flow.queue
+        out += pack_row(flow.weight, flow.deficit, flow.visits, len(queue))
+        for packet in queue:
+            _put_packet(out, packet)
+    order: List[int] = []
+    if fabric._active:
+        row_of = {flow.flow_id: index for index, flow in enumerate(table)}
+        order = [row_of[flow.flow_id] for flow in fabric._active]
+    out += _U32.pack(len(order)) + struct.pack(f"!{len(order)}I", *order)
+    out += b"\x01" if fabric._head_credited else b"\x00"
+
+
+def restore_sender_state(pipeline: Any, state: Any) -> None:
+    if type(state) is not SenderCheckpoint:
         raise CheckpointError("not a sender checkpoint")
     striper = pipeline.striper
-    st = tree["striper"]
-    _sharer_restore(striper.sharer, st["sharer"])
-    striper.packets_sent = st["packets_sent"]
-    striper.bytes_sent = st["bytes_sent"]
-    striper.markers_sent = st["markers_sent"]
-    striper._crossings_seen = st["crossings"]
-    striper._initial_markers_pending = st["initial_markers"]
-    rel = tree.get("reliable")
-    if rel is not None and pipeline.reliable is not None:
+    _sharer_restore(striper.sharer, state.kernel)
+    (
+        striper.packets_sent,
+        striper.bytes_sent,
+        striper.markers_sent,
+        striper._crossings_seen,
+        initial_markers,
+    ) = state.counters
+    striper._initial_markers_pending = bool(initial_markers)
+    if state.arq is not None and pipeline.reliable is not None:
         reliable = pipeline.reliable
-        window = [unpack_packet(p) for p in rel["window"]]
-        overflow = [unpack_packet(p) for p in rel["overflow"]]
+        next_rseq, (srtt, rttvar, rto), window, overflow = state.arq
         reliable.register_restored(
-            window + overflow,
-            next_rseq=rel["next_rseq"],
-            sacked_rseqs=rel["sacked"],
+            [packet for _, packet in window] + overflow,
+            next_rseq=next_rseq,
+            sacked_rseqs=[packet.rseq for sacked, packet in window if sacked],
         )
-        srtt, rttvar, rto = rel["rto"]
         reliable.rto.srtt = srtt
         reliable.rto.rttvar = rttvar
         reliable.rto.rto = rto
-    fec_tree = tree.get("fec")
-    if fec_tree is not None and pipeline.fec is not None:
-        pipeline.fec._next_fseq = fec_tree["next_fseq"]
-        pipeline.fec._group_base = fec_tree["group_base"]
-    fab_tree = tree.get("fabric")
-    if fab_tree is not None and pipeline.fabric is not None:
+    if state.fec is not None and pipeline.fec is not None:
+        pipeline.fec._next_fseq, pipeline.fec._group_base = state.fec
+    if state.fabric is not None and pipeline.fabric is not None:
         fabric = pipeline.fabric
-        for row in fab_tree["flows"]:
-            flow = fabric.table.get(row["id"])
+        rows, active_order, head_credited = state.fabric
+        for flow_id, tenant, weight, _, _, queue in rows:
+            flow = fabric.table.get(flow_id)
             if flow is None:
-                flow = fabric.table.register(
-                    row["id"], weight=row["weight"], tenant=row["tenant"]
-                )
+                flow = fabric.table.register(flow_id, weight=weight, tenant=tenant)
             flow.queue.clear()
-            flow.queue.extend(unpack_packet(p) for p in row["queue"])
-        flows, active_order, head_credited = fab_tree["sched"]
-        from repro.transport.fabric import FabricSnapshot
-
+            flow.queue.extend(queue)
         fabric.restore(
             FabricSnapshot(
-                flows=tuple((fid, deficit, visits) for fid, deficit, visits in flows),
-                active_order=tuple(active_order),
+                flows=tuple((row[0], row[3], row[4]) for row in rows),
+                active_order=active_order,
                 head_credited=head_credited,
             )
         )
     # Queued-but-unstamped input is re-submitted through the normal path
     # last, so it lands behind everything the ARQ buffer will replay.
-    for packed in st["queue"]:
-        pipeline._submit(unpack_packet(packed))
+    for packet in state.queue:
+        pipeline._submit(packet)
 
 
-def receiver_state_tree(pipeline: Any, *, sender_epoch: int = 0) -> Dict[str, Any]:
-    reseq = pipeline.resequencer
-    buffers = getattr(reseq, "buffers", None)
-    tree: Dict[str, Any] = {
-        "role": "receiver",
-        "sender_epoch": sender_epoch,
-        "sync": pipeline.sync.snapshot(),
-        "buffers": (
-            None
-            if buffers is None
-            else [[pack_packet(p) for p in buf] for buf in buffers]
-        ),
-        "pushed": list(pipeline._pushed_data),
-    }
-    reliable = pipeline.reliable
-    if reliable is not None:
-        tree["arq"] = {
-            "next_expected": reliable.next_expected,
-            "ooo": [
-                [rseq, pack_packet(p)] for rseq, p in reliable._ooo.items()
-            ],
-            "last_ooo": reliable._last_ooo,
-        }
+def _put_receiver(out: bytearray, state: Tuple[Any, int]) -> None:
+    pipeline, sender_epoch = state
+    out += _I64.pack(sender_epoch)
+    _put_value(out, pipeline.sync.snapshot())
+    buffers = getattr(pipeline.resequencer, "buffers", None)
+    if buffers is None:
+        out += b"\x00"
     else:
-        tree["arq"] = None
+        out += b"\x01" + _U32.pack(len(buffers))
+        for buf in buffers:
+            _put_packets(out, buf)
+    pushed = pipeline._pushed_data
+    out += _U32.pack(len(pushed)) + struct.pack(f"!{len(pushed)}q", *pushed)
+    reliable = pipeline.reliable
+    if reliable is None:
+        out += b"\x00"
+    else:
+        last_ooo = reliable._last_ooo
+        out += b"\x01" + _ARQ_RECEIVER.pack(
+            reliable.next_expected, last_ooo is not None, last_ooo or 0
+        )
+        out += _U32.pack(len(reliable._ooo))
+        for rseq, packet in reliable._ooo.items():
+            out += _I64.pack(rseq)
+            _put_packet(out, packet)
     fec = pipeline.fec
-    if fec is not None:
+    if fec is None:
+        out += b"\x00"
+    else:
         # Partial groups and cached shards are dropped: parity for them
         # may already be lost with the process, and the ARQ backstop /
         # gap-skip timer owns those positions after restart.
-        tree["fec"] = {
-            "next_expected": fec._next_expected,
-            "delivered_hw": fec._delivered_hw,
-        }
-    else:
-        tree["fec"] = None
-    return tree
+        out += b"\x01" + _PAIR.pack(fec._next_expected, fec._delivered_hw)
 
 
-def restore_receiver_state(pipeline: Any, tree: Dict[str, Any]) -> None:
-    if tree.get("role") != "receiver":
+def restore_receiver_state(pipeline: Any, state: Any) -> None:
+    if type(state) is not ReceiverCheckpoint:
         raise CheckpointError("not a receiver checkpoint")
-    snap = tree.get("sync")
+    snap = state.sync
     reseq = pipeline.resequencer
     if snap is not None:
         if isinstance(snap, ReceiverSnapshot):
@@ -636,72 +992,73 @@ def restore_receiver_state(pipeline: Any, tree: Dict[str, Any]) -> None:
                     f"{type(reseq).__name__} cannot restore state"
                 )
             restore(snap)
-    packed_buffers = tree.get("buffers")
-    if packed_buffers is not None and hasattr(reseq, "buffers"):
+    if state.buffers is not None and hasattr(reseq, "buffers"):
         count = 0
-        for buf, packed in zip(reseq.buffers, packed_buffers):
+        for buf, packets in zip(reseq.buffers, state.buffers):
             buf.clear()
-            buf.extend(unpack_packet(p) for p in packed)
+            buf.extend(packets)
             count += len(buf)
         if hasattr(reseq, "_buffered"):
             reseq._buffered = count
-    pushed = tree.get("pushed")
-    if pushed is not None:
-        for channel, value in enumerate(pushed):
-            if channel < len(pipeline._pushed_data):
-                pipeline._pushed_data[channel] = value
-    arq = tree.get("arq")
-    if arq is not None and pipeline.reliable is not None:
-        pipeline.reliable.restore_window(
-            arq["next_expected"],
-            {rseq: unpack_packet(p) for rseq, p in arq["ooo"]},
-            last_ooo=arq["last_ooo"],
-        )
-    fec_tree = tree.get("fec")
-    if fec_tree is not None and pipeline.fec is not None:
-        pipeline.fec._next_expected = fec_tree["next_expected"]
-        pipeline.fec._delivered_hw = fec_tree["delivered_hw"]
+    for channel, value in enumerate(state.pushed[: len(pipeline._pushed_data)]):
+        pipeline._pushed_data[channel] = value
+    if state.arq is not None and pipeline.reliable is not None:
+        next_expected, last_ooo, ooo = state.arq
+        pipeline.reliable.restore_window(next_expected, ooo, last_ooo=last_ooo)
+    if state.fec is not None and pipeline.fec is not None:
+        pipeline.fec._next_expected, pipeline.fec._delivered_hw = state.fec
 
 
 def sender_to_bytes(pipeline: Any, *, peer_epoch: int = 0) -> bytes:
     """Serialize a :class:`StripeSenderPipeline`'s composed state."""
-    return encode_checkpoint(sender_state_tree(pipeline, peer_epoch=peer_epoch))
+    return _frame(_encode(_put_sender, (pipeline, peer_epoch), b"S"))
 
 
-def sender_from_bytes(pipeline: Any, blob: bytes) -> Dict[str, Any]:
+def sender_from_bytes(pipeline: Any, blob: bytes) -> SenderCheckpoint:
     """Restore a freshly constructed sender pipeline from a checkpoint."""
-    tree = decode_checkpoint(blob)
-    restore_sender_state(pipeline, tree)
-    return tree
+    state = decode_checkpoint(blob)
+    restore_sender_state(pipeline, state)
+    return state
 
 
 def receiver_to_bytes(pipeline: Any, *, sender_epoch: int = 0) -> bytes:
     """Serialize a :class:`StripeReceiverPipeline`'s composed state."""
-    return encode_checkpoint(
-        receiver_state_tree(pipeline, sender_epoch=sender_epoch)
-    )
+    return _frame(_encode(_put_receiver, (pipeline, sender_epoch), b"R"))
 
 
-def receiver_from_bytes(pipeline: Any, blob: bytes) -> Dict[str, Any]:
+def receiver_from_bytes(pipeline: Any, blob: bytes) -> ReceiverCheckpoint:
     """Restore a freshly constructed receiver pipeline from a checkpoint."""
-    tree = decode_checkpoint(blob)
-    restore_receiver_state(pipeline, tree)
-    return tree
+    state = decode_checkpoint(blob)
+    restore_receiver_state(pipeline, state)
+    return state
 
 
 # --------------------------------------------------------------------- #
-# WAL record payloads (tree-coded, individually CRC-sealed by the store)
+# WAL records (individually CRC-sealed by the store)
+#
+# receiver: the delivered rseq as one ``!q``.  sender: a kind byte, then
+# ``b`` uid + rseq, ``p`` a packet record, or ``s`` uid + flow scalar + a
+# packet record.
 
 
-def _wal_encode(tree: Any) -> bytes:
-    parts: List[bytes] = []
-    _encode_tree(tree, parts)
-    return b"".join(parts)
+def _put_submission(out: bytearray, entry: Tuple[Any, Any]) -> None:
+    flow_id, packet = entry
+    out += _I64.pack(packet.uid)
+    _put_scalar(out, flow_id)
+    _put_packet(out, packet)
 
 
-def _wal_decode(payload: bytes) -> Any:
-    tree, _ = _decode_tree(payload, 0)
-    return tree
+def _wal_records(store: CheckpointStore, read: Callable[[_Reader], Any]) -> List[Any]:
+    """Decode the store's WAL; a malformed record ends the scan and is
+    counted like a torn tail."""
+    records = []
+    for payload in store.wal_payloads():
+        try:
+            records.append(_parse(payload, read))
+        except CheckpointCorruptError:
+            store.corrupt_wal_records += 1
+            break
+    return records
 
 
 # --------------------------------------------------------------------- #
@@ -825,29 +1182,24 @@ class SenderRecovery:
 
     def _on_register(self, packet: Any) -> None:
         if self._orig_fabric_submit is not None:
-            self.store.append_wal(
-                _wal_encode({"t": "bind", "uid": packet.uid, "rseq": packet.rseq})
-            )
+            record = _BIND.pack(b"b", packet.uid, packet.rseq)
         else:
-            self.store.append_wal(_wal_encode({"t": "pkt", "pkt": pack_packet(packet)}))
+            record = _encode(_put_packet, packet, b"p")
+        self.store.append_wal(record)
 
     def _logged_submit(self, flow_id: Any, packet: Any) -> bool:
-        self.store.append_wal(
-            _wal_encode(
-                {"t": "sub", "uid": packet.uid, "flow": flow_id, "pkt": pack_packet(packet)}
-            )
-        )
+        self.store.append_wal(_encode(_put_submission, (flow_id, packet), b"s"))
         assert self._orig_fabric_submit is not None
         return self._orig_fabric_submit(flow_id, packet)
 
     # -- restore --------------------------------------------------------- #
 
     def _restore(self) -> bool:
-        tree = self.store.load_checkpoint()
-        if tree is None:
+        state = self.store.load_checkpoint()
+        if state is None:
             return False
-        restore_sender_state(self.pipeline, tree)
-        self.peer_epoch = tree.get("peer_epoch", 0)
+        restore_sender_state(self.pipeline, state)
+        self.peer_epoch = state.peer_epoch
         self._apply_wal()
         return True
 
@@ -856,24 +1208,21 @@ class SenderRecovery:
         fabric = self.pipeline.fabric
         pending: Dict[int, Tuple[Any, Any]] = {}  # uid -> (flow_id, packet)
         bound: List[Any] = []
-        for payload in self.store.wal_payloads():
-            record = _wal_decode(payload)
-            kind = record["t"]
-            if kind == "pkt":
-                packet = unpack_packet(record["pkt"])
+        for kind, uid, flow_id, item in _wal_records(self.store, _Reader.sender_wal):
+            if kind == b"p":
+                packet = item
                 if reliable is not None and packet.rseq is not None:
                     bound.append(packet)
                 else:
                     self.pipeline._submit(packet)
                 self.wal_packets_restored += 1
-            elif kind == "sub":
-                pending[record["uid"]] = (record["flow"], unpack_packet(record["pkt"]))
-            elif kind == "bind":
-                uid = record["uid"]
+            elif kind == b"s":
+                pending[uid] = (flow_id, item)
+            else:  # b"b": item is the rseq the packet drained under
                 entry = pending.pop(uid, None)
                 if entry is not None:
                     packet = entry[1]
-                    packet.rseq = record["rseq"]
+                    packet.rseq = item
                     bound.append(packet)
                 elif fabric is not None:
                     # Submitted before the checkpoint, drained after it:
@@ -881,7 +1230,7 @@ class SenderRecovery:
                     # to the ARQ buffer under its logged rseq.
                     packet = _pop_fabric_uid(fabric, uid)
                     if packet is not None:
-                        packet.rseq = record["rseq"]
+                        packet.rseq = item
                         bound.append(packet)
                 self.wal_packets_restored += 1
         if bound and reliable is not None:
@@ -1105,22 +1454,21 @@ class ReceiverRecovery:
             # sees the packet, so a crash between the two redelivers
             # nothing (crashes land between simulator events, never
             # mid-callback).
-            self.store.append_wal(_wal_encode(rseq))
+            self.store.append_wal(_I64.pack(rseq))
         assert self._orig_deliver is not None
         return self._orig_deliver(packet)
 
     def _restore(self) -> bool:
-        tree = self.store.load_checkpoint()
-        if tree is None:
+        state = self.store.load_checkpoint()
+        if state is None:
             return False
-        restore_receiver_state(self.pipeline, tree)
-        self.sender_epoch = tree.get("sender_epoch", 0)
+        restore_receiver_state(self.pipeline, state)
+        self.sender_epoch = state.sender_epoch
         reliable = self.pipeline.reliable
         if reliable is not None:
             cursor = reliable.next_expected
-            for payload in self.store.wal_payloads():
-                rseq = _wal_decode(payload)
-                if isinstance(rseq, int) and rseq >= cursor:
+            for rseq in _wal_records(self.store, _Reader.cursor):
+                if rseq >= cursor:
                     cursor = rseq + 1
                     self.wal_cursor_restored += 1
             # Post-checkpoint deliveries: advance the cursor past them and
